@@ -49,15 +49,13 @@ bench: bench-uncertainty
 	$(GO) run ./cmd/benchjson -in bench.out -out BENCH_pipeline.json
 	@rm -f bench.out
 
-# Kernel-level baseline (single-tree fit, pointer and compiled batch
-# inference for forests and gbrt), committed as BENCH_hotpath.json.
-# Regenerate with the same command when a PR intentionally changes
-# kernel performance. The pointer/compiled pairs run the same model on
-# the same data, so their ns/op ratio is the compiled layout's speedup.
+# Kernel-level baseline (single-tree fit, compiled batch inference for
+# forests and gbrt), committed as BENCH_hotpath.json. Regenerate with
+# the same command when a PR intentionally changes kernel performance.
 bench-hotpath:
 	$(GO) test -run='^$$' -benchmem -benchtime=3x \
-		-bench='^(BenchmarkTreeFit|BenchmarkForestPredictBatch|BenchmarkForestPredictBatchCompiled|BenchmarkGBRTPredictBatch|BenchmarkGBRTPredictBatchCompiled)$$' \
-		./internal/tree/ ./internal/forest/ ./internal/gbrt/ ./internal/treec/ > bench-hotpath.out
+		-bench='^(BenchmarkTreeFit|BenchmarkForestPredictBatchCompiled|BenchmarkGBRTPredictBatchCompiled)$$' \
+		./internal/tree/ ./internal/treec/ > bench-hotpath.out
 	$(GO) run ./cmd/benchjson -in bench-hotpath.out -out BENCH_hotpath.json
 	@rm -f bench-hotpath.out
 
@@ -111,10 +109,9 @@ bench-check:
 		./internal/forest/ ./internal/serving/ ./internal/pipeline/ > bench.out
 	$(GO) run ./cmd/benchjson -in bench.out -compare BENCH_pipeline.json -tolerance 2.0
 	$(GO) test -run='^$$' -benchmem -benchtime=3x \
-		-bench='^(BenchmarkTreeFit|BenchmarkForestPredictBatch|BenchmarkForestPredictBatchCompiled|BenchmarkGBRTPredictBatch|BenchmarkGBRTPredictBatchCompiled)$$' \
-		./internal/tree/ ./internal/forest/ ./internal/gbrt/ ./internal/treec/ > bench-hotpath.out
-	$(GO) run ./cmd/benchjson -in bench-hotpath.out -compare BENCH_hotpath.json -tolerance 2.0 \
-		-speedup 'BenchmarkForestPredictBatch=BenchmarkForestPredictBatchCompiled,BenchmarkGBRTPredictBatch=BenchmarkGBRTPredictBatchCompiled'
+		-bench='^(BenchmarkTreeFit|BenchmarkForestPredictBatchCompiled|BenchmarkGBRTPredictBatchCompiled)$$' \
+		./internal/tree/ ./internal/treec/ > bench-hotpath.out
+	$(GO) run ./cmd/benchjson -in bench-hotpath.out -compare BENCH_hotpath.json -tolerance 2.0
 	$(GO) test -run='^$$' -benchmem -benchtime=10x \
 		-bench='^(BenchmarkConformalCalibrate|BenchmarkConformalFactor|BenchmarkMonitorObserve|BenchmarkServePredictInterval)$$' \
 		./internal/uncertainty/ ./internal/serving/ > bench-uncertainty.out

@@ -9,12 +9,6 @@
 //	go test -bench=. -benchmem ./... | benchjson -out BENCH_pipeline.json
 //	benchjson -in bench.out -out BENCH_pipeline.json
 //	benchjson -in bench.out -compare BENCH_pipeline.json -tolerance 2.0
-//	benchjson -in bench.out -speedup BenchmarkPointer=BenchmarkCompiled ...
-//
-// -speedup takes comma-separated base=variant benchmark name pairs and
-// prints the variant's ns/op speedup over the base; CI uses it to
-// publish the compiled-vs-pointer inference ratio in the bench-check
-// log. It composes with either output mode.
 //
 // -overhead takes comma-separated base=variant:maxratio triples and
 // fails (exit 1) when the variant's ns/op exceeds base × maxratio —
@@ -73,7 +67,6 @@ func main() {
 		out       = flag.String("out", "", "JSON report path (default: stdout)")
 		compare   = flag.String("compare", "", "baseline JSON report to check results against (disables -out)")
 		tolerance = flag.Float64("tolerance", 2.0, "allowed ns/op and allocs/op ratio vs the baseline in -compare mode")
-		speedup   = flag.String("speedup", "", "comma-separated base=variant benchmark pairs; print variant's speedup over base (CI publishes compiled-vs-pointer this way)")
 		overhead  = flag.String("overhead", "", "comma-separated base=variant:maxratio triples; fail when variant ns/op exceeds base*maxratio (the tracing-overhead gate)")
 	)
 	flag.Parse()
@@ -96,9 +89,6 @@ func main() {
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 
-	if *speedup != "" {
-		printSpeedups(results, *speedup)
-	}
 	overheadFailed := false
 	if *overhead != "" {
 		overheadFailed = checkOverheads(results, *overhead)
@@ -200,38 +190,13 @@ func compareReports(baseline Report, current []Result, tolerance float64) ([]str
 	return lines, failed
 }
 
-// printSpeedups resolves each "base=variant" pair in spec against the
-// parsed results and prints the variant's ns/op speedup over the base —
-// how CI publishes the compiled-vs-pointer inference ratio. A pair whose
-// benchmarks are missing from the input is an error: a silently skipped
-// speedup line would read as "not measured" when the bench list drifts.
-func printSpeedups(results []Result, spec string) {
-	byName := make(map[string]Result, len(results))
-	for _, r := range results {
-		byName[r.Name] = r
-	}
-	for _, pair := range strings.Split(spec, ",") {
-		baseName, varName, ok := strings.Cut(pair, "=")
-		if !ok {
-			fatalf("-speedup pair %q is not base=variant", pair)
-		}
-		b, bok := byName[baseName]
-		v, vok := byName[varName]
-		if !bok || !vok {
-			fatalf("-speedup pair %q: benchmark missing from input (base present: %v, variant present: %v)", pair, bok, vok)
-		}
-		fmt.Printf("  speedup %s -> %s: %.2fx (%.2fms -> %.2fms/op)\n",
-			baseName, varName, ratio(b.NsPerOp, v.NsPerOp), b.NsPerOp/1e6, v.NsPerOp/1e6)
-	}
-}
-
 // checkOverheads resolves each "base=variant:maxratio" triple in spec
 // and checks that the variant's ns/op stays within base × maxratio —
 // the gate `make bench-obs` uses to keep request tracing within 5% of
 // the untraced serving path. As in -compare mode, the absolute nsSlack
 // also has to be exceeded before a check fails, so tiny baselines do
-// not flap on scheduler noise. Missing benchmarks are an error for the
-// same reason as in -speedup: a silently skipped gate is no gate.
+// not flap on scheduler noise. Missing benchmarks are an error: a
+// silently skipped gate is no gate.
 func checkOverheads(results []Result, spec string) bool {
 	byName := make(map[string]Result, len(results))
 	for _, r := range results {

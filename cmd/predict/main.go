@@ -59,7 +59,6 @@ func main() {
 	if err != nil {
 		fatalf("loading model: %v", err)
 	}
-	m.Compile() // run batch scoring on the flattened inference kernels
 
 	// flag.Visit sees only flags given on the command line, so an
 	// explicit -interval 0 is rejected by NormalizeCoverage rather than
@@ -104,23 +103,17 @@ func main() {
 			fatalf("configuration %v has %d values, model expects %d (%v)",
 				cfg, len(cfg), len(m.ParamNames), m.ParamNames)
 		}
-		res := result{Params: cfg, Cluster: m.AssignCluster(cfg)}
+		curve := m.PredictSmall(cfg)
+		cluster, runtimes, band, err := m.Extrapolate(cfg, curve, *at, coverage)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		res := result{Params: cfg, Cluster: cluster, Scales: m.Cfg.LargeScales, Runtimes: runtimes, Intervals: band}
 		if *curves {
-			res.Small = m.PredictSmall(cfg)
+			res.Small = curve
 		}
 		if *at > 0 {
-			v, err := m.PredictAt(cfg, *at)
-			if err != nil {
-				fatalf("%v", err)
-			}
 			res.Scales = []int{*at}
-			res.Runtimes = []float64{v}
-		} else {
-			res.Scales = m.Cfg.LargeScales
-			res.Runtimes = m.Predict(cfg)
-			if coverage > 0 {
-				res.Intervals = m.PredictIntervalCov(cfg, coverage)
-			}
 		}
 		if *asJSON {
 			if err := enc.Encode(res); err != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/scalefit"
+	"repro/internal/treec"
 )
 
 // Predictor predicts the runtime of a configuration at a scale.
@@ -51,9 +52,9 @@ func logRow(v []float64) []float64 {
 // ---- direct random forest ----
 
 // DirectForest is a random forest over (params, scale) features trained on
-// log-runtimes.
+// log-runtimes, held in the compiled treec layout.
 type DirectForest struct {
-	f *forest.Forest
+	f *treec.Forest
 }
 
 // TrainDirectForest fits the direct-forest baseline.
@@ -63,7 +64,7 @@ func TrainDirectForest(r *rng.Source, train *dataset.Table) (Predictor, error) {
 		return nil, fmt.Errorf("baselines: empty training table")
 	}
 	p := forest.Defaults()
-	return &DirectForest{f: forest.Fit(x, logVec(y), p, r)}, nil
+	return &DirectForest{f: treec.CompileForest(forest.Fit(x, logVec(y), p, r))}, nil
 }
 
 // Name implements Predictor.
@@ -77,9 +78,9 @@ func (d *DirectForest) PredictAt(params []float64, scale int) float64 {
 // ---- direct GBRT ----
 
 // DirectGBRT is gradient-boosted trees over (params, scale) features
-// trained on log-runtimes.
+// trained on log-runtimes, held in the compiled treec layout.
 type DirectGBRT struct {
-	m *gbrt.Model
+	m *treec.GBRT
 }
 
 // TrainDirectGBRT fits the direct-GBRT baseline.
@@ -88,7 +89,7 @@ func TrainDirectGBRT(r *rng.Source, train *dataset.Table) (Predictor, error) {
 	if x.Rows == 0 {
 		return nil, fmt.Errorf("baselines: empty training table")
 	}
-	return &DirectGBRT{m: gbrt.Fit(x, logVec(y), gbrt.Defaults(), r)}, nil
+	return &DirectGBRT{m: treec.CompileGBRT(gbrt.Fit(x, logVec(y), gbrt.Defaults(), r))}, nil
 }
 
 // Name implements Predictor.

@@ -6,20 +6,18 @@ import (
 
 // compiledInterp is the flattened (struct-of-arrays) form of every
 // interpolation forest, aligned with TwoLevelModel.Interp. It is built
-// once by Compile and immutable afterwards, so any number of goroutines
+// by Compile and immutable afterwards, so any number of goroutines
 // may predict through it concurrently.
 type compiledInterp struct {
 	forests []*treec.Forest
 }
 
 // Compile flattens the model's interpolation forests into the treec
-// struct-of-arrays layout so the serving hot paths (PredictSmallInto,
-// PredictInterval, and everything built on them) traverse contiguous
-// node tables instead of chasing per-node heap pointers. Predictions
-// are bit-identical to the pointer form. Compile is idempotent and safe
-// to call concurrently with predictions; the pipeline compiles at
-// promotion and the serving registry compiles on load/hot-swap, so
-// served models always run compiled.
+// struct-of-arrays layout, the one representation every prediction runs
+// on: traversal walks contiguous node tables instead of chasing per-node
+// heap pointers, with predictions bit-identical to the pointer forests.
+// Fit and Read call it, so callers never need to; it is idempotent and
+// safe to call concurrently with predictions.
 func (m *TwoLevelModel) Compile() {
 	ci := &compiledInterp{forests: make([]*treec.Forest, len(m.Interp))}
 	for i, f := range m.Interp {
@@ -27,10 +25,6 @@ func (m *TwoLevelModel) Compile() {
 	}
 	m.compiled.Store(ci)
 }
-
-// Compiled reports whether the model currently carries a compiled
-// interpolation form (see Compile).
-func (m *TwoLevelModel) Compiled() bool { return m.compiled.Load() != nil }
 
 // Clone returns a shallow copy sharing all fitted state (forests,
 // centroids, cluster models) and the current compiled form.

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/uncertainty"
 )
 
 // TestFitInterpParallelByteIdentical proves the parallel per-scale
@@ -39,73 +42,133 @@ func TestFitInterpParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCompiledModelPredictionsIdentical asserts every prediction surface
-// of a compiled model is bit-identical to the pointer form: Compile must
-// change latency only, never a single output bit.
-func TestCompiledModelPredictionsIdentical(t *testing.T) {
-	m, p := fitTiny(t)
-	if m.Compiled() {
-		t.Fatal("freshly fitted model reports compiled before Compile")
-	}
+// pointerOracle predicts through the pointer forests in m.Interp and the
+// curve-level extrapolation, independently of the compiled form every
+// model prediction runs on.
+type pointerOracle struct{ m *TwoLevelModel }
 
-	small := m.PredictSmall(p)
-	pred := m.Predict(p)
-	ivs := m.PredictInterval(p, 0.1)
-	cov := m.PredictIntervalCov(p, 0.9)
-	cl := m.AssignCluster(p)
-
-	m.Compile()
-	if !m.Compiled() {
-		t.Fatal("model does not report compiled after Compile")
-	}
-
-	for i, v := range m.PredictSmall(p) {
-		if v != small[i] {
-			t.Fatalf("PredictSmall[%d]: compiled %v != pointer %v", i, v, small[i])
+// small is PredictSmall on the pointer forests.
+func (o pointerOracle) small(p []float64) []float64 {
+	out := make([]float64, len(o.m.Interp))
+	for i, f := range o.m.Interp {
+		out[i] = f.Predict(p)
+		if o.m.Cfg.LogInterpolation {
+			out[i] = math.Exp(out[i])
 		}
 	}
-	for i, v := range m.Predict(p) {
-		if v != pred[i] {
-			t.Fatalf("Predict[%d]: compiled %v != pointer %v", i, v, pred[i])
-		}
-	}
-	for i, iv := range m.PredictInterval(p, 0.1) {
-		if iv != ivs[i] {
-			t.Fatalf("PredictInterval[%d]: compiled %+v != pointer %+v", i, iv, ivs[i])
-		}
-	}
-	for i, iv := range m.PredictIntervalCov(p, 0.9) {
-		if iv != cov[i] {
-			t.Fatalf("PredictIntervalCov[%d]: compiled %+v != pointer %+v", i, iv, cov[i])
-		}
-	}
-	if got := m.AssignCluster(p); got != cl {
-		t.Fatalf("AssignCluster: compiled %d != pointer %d", got, cl)
-	}
+	return out
 }
 
-// TestCompileSurvivesRoundtrip: the compiled form is derived state and
-// must not leak into the artifact; a loaded model starts uncompiled and
-// compiles to identical predictions.
-func TestCompileSurvivesRoundtrip(t *testing.T) {
-	m, p := fitTiny(t)
-	m.Compile()
+// interval is PredictInterval on the pointer forests.
+func (o pointerOracle) interval(p []float64, q float64) []Interval {
+	k := len(o.m.Interp)
+	lo, mid, hi := make([]float64, k), make([]float64, k), make([]float64, k)
+	band := make([]float64, 2)
+	for i, f := range o.m.Interp {
+		mid[i] = f.PredictQuantilesInto(p, []float64{q, 1 - q}, nil, band)
+		lo[i], hi[i] = band[0], band[1]
+		if o.m.Cfg.LogInterpolation {
+			lo[i], mid[i], hi[i] = math.Exp(lo[i]), math.Exp(mid[i]), math.Exp(hi[i])
+		}
+	}
+	loP, midP, hiP := o.m.PredictFromCurve(lo), o.m.PredictFromCurve(mid), o.m.PredictFromCurve(hi)
+	out := make([]Interval, len(o.m.Cfg.LargeScales))
+	for i, s := range o.m.Cfg.LargeScales {
+		l, h := math.Min(loP[i], hiP[i]), math.Max(loP[i], hiP[i])
+		out[i] = Interval{Scale: s, Lo: l, Mid: math.Min(math.Max(midP[i], l), h), Hi: h, Source: IntervalEnsemble}
+	}
+	return out
+}
+
+// intervalCov is PredictIntervalCov on the pointer forests.
+func (o pointerOracle) intervalCov(p []float64, coverage float64) []Interval {
+	curve := o.small(p)
+	cluster, mid := o.m.assign(curve), o.m.PredictFromCurve(curve)
+	out := o.interval(p, (1-coverage)/2)
+	for i, s := range o.m.Cfg.LargeScales {
+		if f, ok := o.m.Meta.Calibration.Factor(cluster, s, coverage); ok {
+			out[i] = Interval{Scale: s, Lo: mid[i] / f, Mid: mid[i], Hi: mid[i] * f, Source: IntervalConformal}
+		}
+	}
+	return out
+}
+
+// TestCompiledModelPredictionsIdentical asserts that models from Fit,
+// Read and Clone carry the compiled form, and that every prediction
+// surface is bit-identical to the pointer-forest oracle, calibrated
+// (conformal at the first target scale, ensemble fallback elsewhere) and
+// not.
+func TestCompiledModelPredictionsIdentical(t *testing.T) {
+	fitted, p := fitTiny(t)
 	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
+	if err := fitted.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Compiled() {
-		t.Fatal("loaded model reports compiled; compiled form must not serialize")
+	calibrated := fitted.Clone()
+	calibrated.Meta.Calibration = &uncertainty.Calibration{
+		Pooled: []uncertainty.ScaleCalib{{Scale: fitted.Cfg.LargeScales[0], Scores: []float64{0.1, 0.2, 0.3, 0.4, 0.5}}},
 	}
-	loaded.Compile()
-	want, got := m.Predict(p), loaded.Predict(p)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("prediction changed across save/load/compile: %v != %v", got, want)
+	for name, m := range map[string]*TwoLevelModel{"Fit": fitted, "Read": loaded, "Clone": calibrated} {
+		if m.compiled.Load() == nil {
+			t.Fatalf("%s: model is not compiled", name)
+		}
+		o := pointerOracle{m}
+		small := o.small(p)
+		if got := m.PredictSmall(p); !slices.Equal(got, small) {
+			t.Fatalf("%s: PredictSmall %v != oracle %v", name, got, small)
+		}
+		if got, want := m.Predict(p), m.PredictFromCurve(small); !slices.Equal(got, want) {
+			t.Fatalf("%s: Predict %v != oracle %v", name, got, want)
+		}
+		if got, want := m.AssignCluster(p), m.assign(small); got != want {
+			t.Fatalf("%s: AssignCluster %d != oracle %d", name, got, want)
+		}
+		if got, want := m.PredictInterval(p, 0.1), o.interval(p, 0.1); !slices.Equal(got, want) {
+			t.Fatalf("%s: PredictInterval %+v != oracle %+v", name, got, want)
+		}
+		want := o.intervalCov(p, 0.6)
+		if got := m.PredictIntervalCov(p, 0.6); !slices.Equal(got, want) {
+			t.Fatalf("%s: PredictIntervalCov %+v != oracle %+v", name, got, want)
+		}
+		if _, _, got, _ := m.Extrapolate(p, small, 0, 0.6); !slices.Equal(got, want) {
+			t.Fatalf("%s: Extrapolate band %+v != oracle %+v", name, got, want)
+		}
+	}
+	if calibrated.PredictIntervalCov(p, 0.6)[0].Source != IntervalConformal {
+		t.Fatal("calibrated clone did not answer conformally at the calibrated scale")
+	}
+}
+
+// TestCompileSurvivesRoundtrip: the compiled form is derived state and
+// must not leak into the artifact; a re-compiled model (Compile is
+// idempotent) and a loaded one predict identically and write the same
+// bytes.
+func TestCompileSurvivesRoundtrip(t *testing.T) {
+	m, p := fitTiny(t)
+	var before bytes.Buffer
+	if err := m.Write(&before); err != nil {
+		t.Fatal(err)
+	}
+	want := m.Predict(p)
+	m.Compile()
+	var after bytes.Buffer
+	if err := m.Write(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("Compile changed the serialized artifact")
+	}
+	loaded, err := Read(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]float64{"recompiled": m.Predict(p), "loaded": loaded.Predict(p)} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s prediction %v != %v", name, got, want)
 		}
 	}
 }

@@ -64,18 +64,11 @@ func (m *TwoLevelModel) PredictInterval(params []float64, q float64) []Interval 
 	qs := [2]float64{q, 1 - q}
 	var band [2]float64
 	var scratch []float64
-	ci := m.compiled.Load()
-	for i, f := range m.Interp {
+	for i, f := range m.compiled.Load().forests {
 		if scratch == nil {
-			scratch = make([]float64, len(f.Trees))
+			scratch = make([]float64, f.E.NumTrees())
 		}
-		var mid float64
-		if ci != nil {
-			// Compiled traversal; bit-identical to the pointer call below.
-			mid = ci.forests[i].PredictQuantilesInto(params, qs[:], scratch, band[:])
-		} else {
-			mid = f.PredictQuantilesInto(params, qs[:], scratch, band[:])
-		}
+		mid := f.PredictQuantilesInto(params, qs[:], scratch, band[:])
 		lo, hi := band[0], band[1]
 		if m.Cfg.LogInterpolation {
 			lo, mid, hi = math.Exp(lo), math.Exp(mid), math.Exp(hi)
@@ -111,30 +104,36 @@ func (m *TwoLevelModel) PredictInterval(params []float64, q float64) []Interval 
 // the finite-sample guarantee conformal prediction provides. Scales the
 // calibration cannot certify (and uncalibrated models entirely) fall back
 // to the ensemble-spread band at matching tail mass, marked by Source.
+// Either way the call walks the forests once, plus once more when a
+// calibrated model falls back at some scale.
 func (m *TwoLevelModel) PredictIntervalCov(params []float64, coverage float64) []Interval {
 	if coverage <= 0 || coverage >= 1 {
 		panic(fmt.Sprintf("core: interval coverage %v outside (0, 1)", coverage))
 	}
+	if m.Meta.Calibration == nil { // every scale falls back; no curve needed
+		return m.PredictInterval(params, (1-coverage)/2)
+	}
+	_, _, band, _ := m.Extrapolate(params, m.PredictSmall(params), 0, coverage) // at = 0 cannot fail
+	return band
+}
+
+// conformalBand is PredictIntervalCov for a configuration in cluster
+// whose runtimes at Cfg.LargeScales are mid.
+func (m *TwoLevelModel) conformalBand(params []float64, cluster int, mid []float64, coverage float64) []Interval {
+	if coverage >= 1 {
+		panic(fmt.Sprintf("core: interval coverage %v outside (0, 1)", coverage))
+	}
 	var ens []Interval // ensemble fallback, computed at most once
-	ensemble := func() []Interval {
+	out := make([]Interval, len(m.Cfg.LargeScales))
+	for i, s := range m.Cfg.LargeScales {
+		if f, ok := m.Meta.Calibration.Factor(cluster, s, coverage); ok {
+			out[i] = Interval{Scale: s, Lo: mid[i] / f, Mid: mid[i], Hi: mid[i] * f, Source: IntervalConformal}
+			continue
+		}
 		if ens == nil {
 			ens = m.PredictInterval(params, (1-coverage)/2)
 		}
-		return ens
-	}
-	cal := m.Meta.Calibration
-	if cal == nil {
-		return ensemble()
-	}
-	cluster := m.AssignCluster(params)
-	mid := m.Predict(params)
-	out := make([]Interval, len(m.Cfg.LargeScales))
-	for i, s := range m.Cfg.LargeScales {
-		if f, ok := cal.Factor(cluster, s, coverage); ok {
-			out[i] = Interval{Scale: s, Lo: mid[i] / f, Mid: mid[i], Hi: mid[i] * f, Source: IntervalConformal}
-		} else {
-			out[i] = ensemble()[i]
-		}
+		out[i] = ens[i]
 	}
 	return out
 }

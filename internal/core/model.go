@@ -41,11 +41,12 @@ type TwoLevelModel struct {
 	TrainConfigs int
 	Anchors      int
 
-	// compiled holds the flattened form of Interp built by Compile; nil
-	// until compiled. Unexported (excluded from the JSON artifact) and
-	// atomic so hot-path readers race-freely observe a Compile issued
-	// after load. The pointer makes TwoLevelModel no-copy; all methods
-	// already use pointer receivers.
+	// compiled holds the flattened form of Interp that every prediction
+	// runs on. Fit and Read set it before returning the model, so it is
+	// never nil on a model obtained from either. Unexported (excluded from
+	// the JSON artifact) and atomic so readers race-freely observe a
+	// repeated Compile. The pointer makes TwoLevelModel no-copy; all
+	// methods already use pointer receivers.
 	compiled atomic.Pointer[compiledInterp]
 }
 
@@ -138,6 +139,7 @@ func Fit(r *rng.Source, table *dataset.Table, cfg Config) (*TwoLevelModel, error
 	if err := m.fitInterp(r, table); err != nil {
 		return nil, err
 	}
+	m.Compile() // level 2 fits on the compiled forests' predictions
 
 	// ---- level 2 ----
 	if cfg.Mode == ModeAnchored {
@@ -340,17 +342,7 @@ func (m *TwoLevelModel) PredictSmallInto(params, dst []float64) []float64 {
 	if len(dst) != len(m.Interp) {
 		panic(fmt.Sprintf("core: PredictSmallInto dst has %d entries, model has %d small scales", len(dst), len(m.Interp)))
 	}
-	if ci := m.compiled.Load(); ci != nil {
-		for i, f := range ci.forests {
-			v := f.Predict(params)
-			if m.Cfg.LogInterpolation {
-				v = math.Exp(v)
-			}
-			dst[i] = v
-		}
-		return dst
-	}
-	for i, f := range m.Interp {
+	for i, f := range m.compiled.Load().forests {
 		v := f.Predict(params)
 		if m.Cfg.LogInterpolation {
 			v = math.Exp(v)
@@ -399,7 +391,12 @@ func (m *TwoLevelModel) PredictFromCurveInto(curve, dst []float64) []float64 {
 	if len(dst) != len(m.Cfg.LargeScales) {
 		panic(fmt.Sprintf("core: PredictFromCurveInto dst has %d entries, model has %d target scales", len(dst), len(m.Cfg.LargeScales)))
 	}
-	c := m.assign(curve)
+	return m.extrapolateInto(m.assign(curve), curve, dst)
+}
+
+// extrapolateInto writes the runtimes at every target scale of a curve
+// in cluster c into dst.
+func (m *TwoLevelModel) extrapolateInto(c int, curve, dst []float64) []float64 {
 	if m.Cfg.Mode == ModeAnchored {
 		return m.predictAnchoredInto(c, curve, dst)
 	}
@@ -413,9 +410,14 @@ func (m *TwoLevelModel) PredictFromCurveInto(curve, dst []float64) []float64 {
 // must be one of Cfg.LargeScales; ModeBasis accepts any scale >= 1.
 func (m *TwoLevelModel) PredictAt(params []float64, scale int) (float64, error) {
 	curve := m.PredictSmall(params)
+	return m.predictAt(m.assign(curve), curve, scale)
+}
+
+// predictAt is PredictAt for a curve in cluster c.
+func (m *TwoLevelModel) predictAt(c int, curve []float64, scale int) (float64, error) {
 	for i, s := range m.Cfg.LargeScales {
 		if s == scale {
-			return m.PredictFromCurve(curve)[i], nil
+			return m.extrapolateInto(c, curve, make([]float64, len(m.Cfg.LargeScales)))[i], nil
 		}
 	}
 	if m.Cfg.Mode == ModeAnchored {
@@ -424,7 +426,38 @@ func (m *TwoLevelModel) PredictAt(params []float64, scale int) (float64, error) 
 	if scale < 1 {
 		return 0, fmt.Errorf("core: scale %d < 1", scale)
 	}
-	return m.predictBasisAt(m.assign(curve), curve, scale), nil
+	return m.predictBasisAt(c, curve, scale), nil
+}
+
+// Extrapolate derives a configuration's predictions from its small-scale
+// curve (as PredictSmallInto returns it) without walking the
+// interpolation forests again, so a caller that needs several outputs
+// pays one forest pass for all of them. It returns the cluster the curve
+// falls into and the runtimes at Cfg.LargeScales, or for at > 0 the
+// runtime at that one scale (the scales PredictAt accepts). For coverage
+// in (0, 1), which needs at == 0, it also returns the PredictIntervalCov
+// band; only target scales the calibration cannot certify walk the
+// forests once more, around params, for the ensemble spread.
+func (m *TwoLevelModel) Extrapolate(params, curve []float64, at int, coverage float64) (cluster int, runtimes []float64, band []Interval, err error) {
+	if len(curve) != len(m.Cfg.SmallScales) {
+		panic(fmt.Sprintf("core: curve has %d points, model expects %d", len(curve), len(m.Cfg.SmallScales)))
+	}
+	cluster = m.assign(curve)
+	if at > 0 {
+		if coverage > 0 {
+			return 0, nil, nil, fmt.Errorf("core: an interval covers every target scale; it cannot be combined with scale %d", at)
+		}
+		v, err := m.predictAt(cluster, curve, at)
+		if err != nil {
+			return 0, nil, nil, err
+		}
+		return cluster, []float64{v}, nil, nil
+	}
+	runtimes = m.extrapolateInto(cluster, curve, make([]float64, len(m.Cfg.LargeScales)))
+	if coverage > 0 {
+		band = m.conformalBand(params, cluster, runtimes, coverage)
+	}
+	return cluster, runtimes, band, nil
 }
 
 // AssignCluster returns the scaling-behaviour cluster a configuration's

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/tree"
 )
 
 // modelFileVersion guards against loading files written by incompatible
@@ -40,6 +42,7 @@ func Read(r io.Reader) (*TwoLevelModel, error) {
 	if err := f.Model.validateLoaded(); err != nil {
 		return nil, err
 	}
+	f.Model.Compile()
 	return f.Model, nil
 }
 
@@ -91,6 +94,28 @@ func Load(path string) (*TwoLevelModel, error) {
 	return Read(f)
 }
 
+// validTree checks that a loaded tree is one Compile can flatten: every
+// split names an input feature and has two distinct children placed after
+// it that no other split shares, so each walk from the root ends at a
+// leaf and the flattened form has one slot per node.
+func validTree(t *tree.Tree, features int) error {
+	if t == nil || len(t.Nodes) == 0 {
+		return fmt.Errorf("empty tree")
+	}
+	claimed := make([]bool, len(t.Nodes))
+	for j, n := range t.Nodes {
+		if n.Feature < 0 {
+			continue
+		}
+		l, r := int(n.Left), int(n.Right)
+		if n.Feature >= features || l <= j || r <= j || l == r || l >= len(t.Nodes) || r >= len(t.Nodes) || claimed[l] || claimed[r] {
+			return fmt.Errorf("node %d splits on feature %d into children %d and %d", j, n.Feature, l, r)
+		}
+		claimed[l], claimed[r] = true, true
+	}
+	return nil
+}
+
 // validateLoaded sanity-checks structural invariants after deserialization
 // so a corrupt file fails at load time, not at first prediction.
 func (m *TwoLevelModel) validateLoaded() error {
@@ -104,6 +129,11 @@ func (m *TwoLevelModel) validateLoaded() error {
 		if f.Features != len(m.ParamNames) {
 			return fmt.Errorf("core: interpolation model %d expects %d features, model has %d params",
 				i, f.Features, len(m.ParamNames))
+		}
+		for ti, t := range f.Trees {
+			if err := validTree(t, f.Features); err != nil {
+				return fmt.Errorf("core: interpolation model %d tree %d: %w", i, ti, err)
+			}
 		}
 	}
 	if len(m.ClusterModels) == 0 {

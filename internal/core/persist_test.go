@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/tree"
 )
 
 // fitTiny returns a quick model, plus one in-space configuration, for
@@ -118,5 +122,36 @@ func TestSaveIntoMissingDirFails(t *testing.T) {
 	m, _ := fitTiny(t)
 	if err := m.Save(filepath.Join(t.TempDir(), "nope", "model.json")); err == nil {
 		t.Fatal("Save into missing directory succeeded unexpectedly")
+	}
+}
+
+// TestReadRejectsMalformedTrees: Read compiles what it loads, so a tree
+// whose splits do not form a tree (a cycle, a shared or out-of-range
+// child, an unknown feature) must fail as a load error rather than hang
+// or panic inside Compile.
+func TestReadRejectsMalformedTrees(t *testing.T) {
+	m, _ := fitTiny(t)
+	for name, corrupt := range map[string]func(n []tree.Node){
+		"cycle to root":      func(n []tree.Node) { n[0].Left = 0 },
+		"shared child":       func(n []tree.Node) { n[0].Right = n[0].Left },
+		"child out of range": func(n []tree.Node) { n[0].Right = int32(len(n)) },
+		"unknown feature":    func(n []tree.Node) { n[0].Feature = len(m.ParamNames) },
+	} {
+		c := m.Clone()
+		c.Interp = slices.Clone(m.Interp)
+		f := *c.Interp[0]
+		f.Trees = slices.Clone(f.Trees)
+		tr := *f.Trees[0]
+		tr.Nodes = slices.Clone(tr.Nodes)
+		corrupt(tr.Nodes)
+		f.Trees[0] = &tr
+		c.Interp[0] = &f
+		var buf bytes.Buffer
+		if err := c.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "tree 0") {
+			t.Fatalf("%s: Read returned %v, want a tree 0 error", name, err)
+		}
 	}
 }

@@ -159,109 +159,6 @@ func (f *Forest) Predict(v []float64) float64 {
 	return s / float64(len(f.Trees))
 }
 
-// predictBlock is the row-block size for batch prediction: blocks keep
-// the active rows hot in cache while each tree's node array streams
-// through once per block instead of once per row.
-const predictBlock = 128
-
-// PredictBatch fills dst with forest predictions for each row of x; a
-// nil dst is allocated. With a non-nil dst the call performs no
-// allocations. Results are bit-identical to calling Predict per row:
-// per-tree predictions are accumulated in tree order and divided once.
-func (f *Forest) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	if x.Cols != f.Features {
-		panic(fmt.Sprintf("forest: predict with %d features, forest has %d", x.Cols, f.Features))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	if len(dst) != x.Rows {
-		panic("forest: PredictBatch dst length mismatch")
-	}
-	f.predictRange(x, dst, 0, x.Rows)
-	return dst
-}
-
-// predictRange computes forest predictions for rows [lo, hi) into dst.
-func (f *Forest) predictRange(x *mat.Dense, dst []float64, lo, hi int) {
-	data := x.Data
-	cols := x.Cols
-	m := float64(len(f.Trees))
-	for b := lo; b < hi; b += predictBlock {
-		be := b + predictBlock
-		if be > hi {
-			be = hi
-		}
-		for i := b; i < be; i++ {
-			dst[i] = 0
-		}
-		for _, t := range f.Trees {
-			nodes := t.Nodes
-			for i := b; i < be; i++ {
-				row := data[i*cols : i*cols+cols]
-				j := int32(0)
-				for {
-					n := &nodes[j]
-					if n.Feature < 0 {
-						dst[i] += n.Value
-						break
-					}
-					if row[n.Feature] <= n.Threshold {
-						j = n.Left
-					} else {
-						j = n.Right
-					}
-				}
-			}
-		}
-		for i := b; i < be; i++ {
-			dst[i] /= m
-		}
-	}
-}
-
-// PredictBatchParallel is PredictBatch fanned out over at most workers
-// goroutines (<= 0 means GOMAXPROCS), each owning a contiguous row
-// chunk. Every row's accumulation order is unchanged, so the output is
-// deterministic and bit-identical to the serial PredictBatch regardless
-// of worker count. Small batches run serially.
-func (f *Forest) PredictBatchParallel(x *mat.Dense, dst []float64, workers int) []float64 {
-	if x.Cols != f.Features {
-		panic(fmt.Sprintf("forest: predict with %d features, forest has %d", x.Cols, f.Features))
-	}
-	if dst == nil {
-		dst = make([]float64, x.Rows)
-	}
-	if len(dst) != x.Rows {
-		panic("forest: PredictBatch dst length mismatch")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (x.Rows + workers - 1) / workers
-	if chunk < predictBlock {
-		chunk = predictBlock // not worth a goroutine per sub-block batch
-	}
-	if workers == 1 || chunk >= x.Rows {
-		f.predictRange(x, dst, 0, x.Rows)
-		return dst
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < x.Rows; lo += chunk {
-		hi := lo + chunk
-		if hi > x.Rows {
-			hi = x.Rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.predictRange(x, dst, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return dst
-}
-
 // PredictQuantile returns the q-quantile of per-tree predictions for v,
 // a cheap prediction-uncertainty proxy.
 func (f *Forest) PredictQuantile(v []float64, q float64) float64 {

@@ -24,6 +24,15 @@ func friedman(r *rng.Source, n int) (*mat.Dense, []float64) {
 	return x, y
 }
 
+// predictRows predicts every row of x with f.Predict.
+func predictRows(f *Forest, x *mat.Dense) []float64 {
+	out := make([]float64, x.Rows)
+	for i := range out {
+		out[i] = f.Predict(x.Row(i))
+	}
+	return out
+}
+
 func TestFitPredictAccuracy(t *testing.T) {
 	r := rng.New(1)
 	xTr, yTr := friedman(r, 500)
@@ -31,7 +40,7 @@ func TestFitPredictAccuracy(t *testing.T) {
 	p := Defaults()
 	p.Trees = 60
 	f := Fit(xTr, yTr, p, r)
-	pred := f.PredictBatch(xTe, nil)
+	pred := predictRows(f, xTe)
 	if r2 := stats.R2(yTe, pred); r2 < 0.8 {
 		t.Fatalf("forest test R2 = %v, want >= 0.8", r2)
 	}
@@ -87,8 +96,8 @@ func TestBaggingReducesVariance(t *testing.T) {
 	p2.Trees = 100
 	many := Fit(xTr, yTr, p2, rng.New(1))
 
-	rmse1 := stats.RMSE(yTe, single.PredictBatch(xTe, nil))
-	rmse100 := stats.RMSE(yTe, many.PredictBatch(xTe, nil))
+	rmse1 := stats.RMSE(yTe, predictRows(single, xTe))
+	rmse100 := stats.RMSE(yTe, predictRows(many, xTe))
 	if rmse100 >= rmse1 {
 		t.Fatalf("100 trees (%v) not better than 1 tree (%v)", rmse100, rmse1)
 	}
@@ -102,7 +111,7 @@ func TestOOBErrorTracksTestError(t *testing.T) {
 	p.Trees = 80
 	f := Fit(xTr, yTr, p, r)
 	oobMSE := f.OOBError(xTr, yTr)
-	pred := f.PredictBatch(xTe, nil)
+	pred := predictRows(f, xTe)
 	testMSE := stats.RMSE(yTe, pred)
 	testMSE *= testMSE
 	if math.IsNaN(oobMSE) {
@@ -228,7 +237,7 @@ func TestMaxFeaturesDefaultRule(t *testing.T) {
 	p := Defaults()
 	p.Trees = 5
 	f := Fit(x, y, p, r)
-	pred := f.PredictBatch(x, nil)
+	pred := predictRows(f, x)
 	if stats.R2(y, pred) < 0.99 {
 		t.Fatal("forest failed trivial 1-feature identity fit")
 	}
@@ -255,66 +264,6 @@ func BenchmarkPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Predict(v)
-	}
-}
-
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	r := rng.New(11)
-	x, y := friedman(r, 300)
-	p := Defaults()
-	p.Trees = 30
-	f := Fit(x, y, p, r)
-	got := f.PredictBatch(x, make([]float64, x.Rows))
-	for i := 0; i < x.Rows; i++ {
-		if got[i] != f.Predict(x.Row(i)) {
-			t.Fatalf("row %d: PredictBatch %v != Predict %v", i, got[i], f.Predict(x.Row(i)))
-		}
-	}
-}
-
-func TestPredictBatchParallelMatchesSerial(t *testing.T) {
-	r := rng.New(12)
-	x, y := friedman(r, 700) // several predictBlock chunks
-	p := Defaults()
-	p.Trees = 20
-	f := Fit(x, y, p, r)
-	serial := f.PredictBatch(x, nil)
-	for _, workers := range []int{0, 1, 2, 3, 7} {
-		par := f.PredictBatchParallel(x, make([]float64, x.Rows), workers)
-		for i := range serial {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d row %d: parallel %v != serial %v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
-func TestPredictBatchZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting is unreliable under -race")
-	}
-	r := rng.New(13)
-	x, y := friedman(r, 200)
-	p := Defaults()
-	p.Trees = 10
-	f := Fit(x, y, p, r)
-	dst := make([]float64, x.Rows)
-	if n := testing.AllocsPerRun(20, func() { f.PredictBatch(x, dst) }); n != 0 {
-		t.Fatalf("PredictBatch with reused dst allocates %v times per call, want 0", n)
-	}
-}
-
-func BenchmarkForestPredictBatch(b *testing.B) {
-	r := rng.New(1)
-	x, y := friedman(r, 2000)
-	p := Defaults()
-	p.Trees = 100
-	f := Fit(x, y, p, r)
-	dst := make([]float64, x.Rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.PredictBatch(x, dst)
 	}
 }
 

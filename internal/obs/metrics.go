@@ -84,12 +84,13 @@ func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a fixed-bucket duration histogram updated with atomics;
 // Observe is zero-alloc and lock-free. Bucket upper bounds are
 // inclusive (an observation equal to a bound lands in that bucket),
-// with an implicit +Inf overflow bucket.
+// with an implicit +Inf overflow bucket. There is no separate total:
+// every count a reader reports is the sum of the buckets it read, so a
+// snapshot's total always equals its +Inf bucket, even mid-Observe.
 type Histogram struct {
 	bounds []time.Duration
 	counts []atomic.Int64 // len(bounds)+1, last = +Inf
 	sumNS  atomic.Int64
-	n      atomic.Int64
 }
 
 // Observe records one duration.
@@ -100,11 +101,16 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.counts[i].Add(1)
 	h.sumNS.Add(int64(d))
-	h.n.Add(1)
 }
 
 // Count returns the number of observations so far.
-func (h *Histogram) Count() int64 { return h.n.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // BucketBound is a histogram upper bound in milliseconds that marshals
 // the +Inf overflow bucket as the explicit string "+Inf" instead of an
@@ -151,19 +157,15 @@ type HistogramSnapshot struct {
 	Buckets    []HistogramBucket `json:"buckets,omitempty"`
 }
 
-// Snapshot captures the histogram's current state. Counters are read
-// individually, so a snapshot taken during concurrent Observe calls is
-// a consistent-enough approximation (each bucket is exact at some
-// moment; the total may trail by in-flight updates).
+// Snapshot captures the histogram's current state. Buckets are read
+// individually, so a snapshot taken during concurrent Observe calls may
+// miss in-flight updates, and Sum is read apart from them; Count is the
+// cumulative +Inf bucket of the same pass, so the two always agree.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	sumNS := h.sumNS.Load()
 	s := HistogramSnapshot{
-		Count:      h.n.Load(),
 		SumSeconds: float64(sumNS) / float64(time.Second),
 		Buckets:    make([]HistogramBucket, 0, len(h.counts)),
-	}
-	if s.Count > 0 {
-		s.MeanMS = float64(sumNS) / float64(time.Millisecond) / float64(s.Count)
 	}
 	cum := int64(0)
 	for i := range h.counts {
@@ -173,6 +175,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			b.LeMS = BucketBound(float64(h.bounds[i]) / float64(time.Millisecond))
 		}
 		s.Buckets = append(s.Buckets, b)
+	}
+	s.Count = cum
+	if s.Count > 0 {
+		s.MeanMS = float64(sumNS) / float64(time.Millisecond) / float64(s.Count)
 	}
 	return s
 }
@@ -539,7 +545,7 @@ func (h *Histogram) appendProm(buf []byte, name, sig string) []byte {
 	buf = append(buf, "_count"...)
 	buf = appendSig(buf, sig)
 	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, h.n.Load(), 10)
+	buf = strconv.AppendInt(buf, cum, 10) // the +Inf bucket's own count
 	return append(buf, '\n')
 }
 

@@ -27,7 +27,6 @@ func calibrate(m *core.TwoLevelModel, holdout *dataset.Table) *uncertainty.Calib
 		scaleIdx[s] = i
 	}
 	cal := uncertainty.NewCalibrator(scales, m.Clusters())
-	pred := make([]float64, len(scales))
 	for _, c := range holdout.GroupByConfig() {
 		predicted := false
 		for s := range c.Runtimes {
@@ -39,8 +38,8 @@ func calibrate(m *core.TwoLevelModel, holdout *dataset.Table) *uncertainty.Calib
 		if !predicted {
 			continue // nothing measured at a target scale; skip the predict
 		}
-		m.PredictInto(c.Params, pred)
-		cluster := m.AssignCluster(c.Params)
+		// One forest pass for the cluster and the runtimes; at = 0 cannot fail.
+		cluster, pred, _, _ := m.Extrapolate(c.Params, m.PredictSmall(c.Params), 0, 0)
 		for s, actual := range c.Runtimes {
 			if i, ok := scaleIdx[s]; ok {
 				cal.Add(cluster, i, pred[i], actual)

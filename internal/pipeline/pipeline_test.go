@@ -303,3 +303,62 @@ func TestPipelineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGateAgainstRegisteredIncumbent: with a registry attached, the gate
+// scores the incumbent the registry already serves instead of reading
+// its file back from disk. That must change nothing: the cycles' gate
+// results and journal are byte-identical to a registry-less run, which
+// reads every incumbent from disk.
+func TestGateAgainstRegisteredIncumbent(t *testing.T) {
+	_, more := testHistories(t)
+	run := func(reg *serving.Registry) (gates, journal []byte) {
+		t.Helper()
+		store := newSeededStore(t, t.TempDir())
+		dir := t.TempDir()
+		p, err := New(store, dir, testPipelineConfig(), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var results []GateResult
+		for cycle := 0; cycle < 3; cycle++ {
+			if cycle == 1 {
+				if _, _, err := store.ImportTable(more); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Kick(testApp)
+			res, err := p.RunOnce(testApp, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cycle > 0 && res.Gate.Incumbent == 0 {
+				t.Fatalf("cycle %d was not gated against an incumbent: %+v", cycle, res.Gate)
+			}
+			results = append(results, res.Gate)
+		}
+		if reg != nil {
+			inc, gen, err := p.Promoter().ActiveModel(testApp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, _ := reg.Get(testApp); e.Model != inc || e.Generation != gen {
+				t.Fatalf("ActiveModel returned gen %d, not the registry's served gen %d", gen, e.Generation)
+			}
+		}
+		if gates, err = json.Marshal(results); err != nil {
+			t.Fatal(err)
+		}
+		if journal, err = os.ReadFile(filepath.Join(dir, "journal.jsonl")); err != nil {
+			t.Fatal(err)
+		}
+		return gates, journal
+	}
+	gatesDisk, journalDisk := run(nil)
+	gatesReg, journalReg := run(serving.NewRegistry())
+	if !bytes.Equal(gatesDisk, gatesReg) {
+		t.Fatalf("gate results differ with a registry attached:\n%s\nvs\n%s", gatesReg, gatesDisk)
+	}
+	if !bytes.Equal(journalDisk, journalReg) {
+		t.Fatalf("journal differs with a registry attached:\n%s\nvs\n%s", journalReg, journalDisk)
+	}
+}

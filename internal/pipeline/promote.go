@@ -3,6 +3,7 @@ package pipeline
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,11 +45,19 @@ func (p *Promoter) Promote(m *core.TwoLevelModel, app string, gen int) (path, sh
 	if err := m.Save(path); err != nil {
 		return "", "", err
 	}
-	raw, err := os.ReadFile(path)
+	// Stream the file through the hash: reading it whole would hold a
+	// second copy of the model's bytes (tens of MB) live at the peak of
+	// the training cycle.
+	f, err := os.Open(path)
 	if err != nil {
 		return "", "", err
 	}
-	return path, fmt.Sprintf("%x", sha256.Sum256(raw)), nil
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", "", err
+	}
+	return path, fmt.Sprintf("%x", h.Sum(nil)), nil
 }
 
 // install hot-swaps the model into the registry (when attached) under
@@ -63,12 +72,20 @@ func (p *Promoter) install(app string, gen int, m *core.TwoLevelModel, detail st
 	})
 }
 
-// ActiveModel loads app's currently active generation from disk.
-// A nil model with a nil error means no generation has been promoted.
+// ActiveModel returns app's currently active generation: the model the
+// attached registry serves under app's name when that entry is the
+// journal's active generation, and otherwise (on restart, without a
+// registry) the generation's file read from disk. A nil model with a nil
+// error means no generation has been promoted.
 func (p *Promoter) ActiveModel(app string) (*core.TwoLevelModel, int, error) {
 	gen, ok := p.journal.Active(app)
 	if !ok {
 		return nil, 0, nil
+	}
+	if p.reg != nil {
+		if e, ok := p.reg.Get(app); ok && e.Generation == gen && e.Model.Meta.App == app {
+			return e.Model, gen, nil
+		}
 	}
 	m, err := core.Load(p.ModelPath(app, gen))
 	if err != nil {

@@ -89,8 +89,11 @@ func TestCacheSingleFlight(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Wait until the leader is inside fn, then let everyone pile up.
-	for computes.Load() == 0 {
+	// Wait until the leader is inside fn and every other caller has piled
+	// up on its in-flight call, then release them all. A second compute
+	// means coalescing is broken; stop waiting and let the checks below
+	// report it.
+	for (computes.Load() == 0 || c.Stats().Coalesced < waiters-1) && computes.Load() < 2 {
 		runtime.Gosched()
 	}
 	close(release)

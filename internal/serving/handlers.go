@@ -246,12 +246,6 @@ type ModelInfo struct {
 	TrainConfigs int       `json:"train_configs"`
 	Anchors      int       `json:"anchors"`
 
-	// Compiled reports whether the entry serves through the flattened
-	// treec inference kernels (registry loads and installs compile
-	// unconditionally, so this is false only for entries published
-	// through paths that predate compilation).
-	Compiled bool `json:"compiled"`
-
 	// Calibrated reports whether the generation carries split-conformal
 	// calibration (interval requests answer with a coverage guarantee);
 	// CalibrationSamples is its total holdout residual count.
@@ -276,7 +270,6 @@ func modelInfo(e *Entry) ModelInfo {
 		Clusters:     m.Clusters(),
 		TrainConfigs: m.TrainConfigs,
 		Anchors:      m.Anchors,
-		Compiled:     m.Compiled(),
 
 		Calibrated:         m.Meta.Calibration != nil,
 		CalibrationSamples: calSamples,
@@ -526,31 +519,31 @@ func (s *Server) computeRange(ctx context.Context, entry *Entry, req *PredictReq
 // backing array belongs to the pooled request object.
 func computeResult(m *core.TwoLevelModel, req *PredictRequest, cfg []float64, rt *obs.ReqTrace) (*ConfigResult, error) {
 	es := rt.StartSpan()
+	// The one forest pass of the request: cluster, runtimes and the
+	// conformal band all derive from this curve.
+	curve := m.PredictSmall(cfg)
+	cluster, runtimes, _, err := m.Extrapolate(cfg, curve, req.At, 0)
+	if err != nil {
+		return nil, err
+	}
 	res := &ConfigResult{
-		Params:  append([]float64(nil), cfg...),
-		Cluster: m.AssignCluster(cfg),
+		Params:   append([]float64(nil), cfg...),
+		Cluster:  cluster,
+		Scales:   m.Cfg.LargeScales,
+		Runtimes: runtimes,
 	}
 	if req.Small {
-		res.Small = m.PredictSmall(cfg)
+		res.Small = curve
 	}
 	if req.At > 0 {
-		v, err := m.PredictAt(cfg, req.At)
-		if err != nil {
-			return nil, err
-		}
 		res.Scales = []int{req.At}
-		res.Runtimes = []float64{v}
-		rt.EndSpan("model_eval", es)
-		return res, nil
 	}
-	res.Scales = m.Cfg.LargeScales
-	res.Runtimes = m.Predict(cfg)
 	rt.EndSpan("model_eval", es)
 	if req.Interval > 0 {
 		// Interval is a normalized coverage by here (see handlePredict);
 		// calibrated models answer conformally, others from tree spread.
 		is := rt.StartSpan()
-		res.Intervals = m.PredictIntervalCov(cfg, req.Interval)
+		_, _, res.Intervals, _ = m.Extrapolate(cfg, curve, 0, req.Interval) // at = 0 cannot fail
 		rt.EndSpan("calibration", is)
 	}
 	return res, nil

@@ -164,9 +164,6 @@ func loadEntry(src Source, prev *Entry) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Compile before publication so every request this entry ever serves
-	// runs the flattened traversal kernels.
-	m.Compile()
 	version := 1
 	if prev != nil {
 		version = prev.Version + 1
@@ -192,7 +189,6 @@ func (r *Registry) Install(name string, m *core.TwoLevelModel) *Entry {
 	if prev, ok := old[name]; ok {
 		version = prev.Version + 1
 	}
-	m.Compile()
 	e := &Entry{Name: name, Version: version, LoadedAt: time.Now(), Model: m, Generation: m.Meta.Generation}
 	next := maps.Clone(old)
 	next[name] = e

@@ -8,11 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// The compiled benchmarks deliberately mirror their pointer twins —
-// BenchmarkForestPredictBatch (internal/forest) and
-// BenchmarkGBRTPredictBatch (internal/gbrt) — same generator, seed,
-// shapes, and ensemble sizes, so the pair's ns/op ratio is the compiled
-// layout's speedup and `make bench-check` publishes it in the CI log.
+// The batch benchmarks score 2000 friedman rows through a 100-tree
+// forest and a default gbrt ensemble; `make bench-check` gates them
+// against BENCH_hotpath.json.
 
 func BenchmarkForestPredictBatchCompiled(b *testing.B) {
 	r := rng.New(1)

@@ -43,7 +43,8 @@ func randomDataset(r *rng.Source) (*mat.Dense, []float64) {
 // fuzz: across >= 100 seeded random forests and datasets (randomized
 // shapes, tree counts, depths, feature subsampling) every prediction
 // surface — single row, batch, quantiles with per-tree outputs — must be
-// bit-identical between the pointer and the compiled implementations.
+// bit-identical to the pointer implementation's per-row Predict and
+// PredictQuantilesInto.
 func TestCompiledDifferentialFuzz(t *testing.T) {
 	const seeds = 110
 	for seed := uint64(1); seed <= seeds; seed++ {
@@ -56,7 +57,7 @@ func TestCompiledDifferentialFuzz(t *testing.T) {
 		f := forest.Fit(x, y, p, r)
 		cf := CompileForest(f)
 
-		want := f.PredictBatch(x, nil)
+		want := perRow(f.Predict, x)
 		got := cf.PredictBatch(x, make([]float64, x.Rows))
 		for i := range want {
 			if got[i] != want[i] {
@@ -109,7 +110,7 @@ func TestCompiledGBRTDifferentialFuzz(t *testing.T) {
 		m := gbrt.Fit(x, y, p, r)
 		cm := CompileGBRT(m)
 
-		want := m.PredictBatch(x, nil)
+		want := perRow(m.Predict, x)
 		got := cm.PredictBatch(x, make([]float64, x.Rows))
 		for i := range want {
 			if got[i] != want[i] {
@@ -124,7 +125,8 @@ func TestCompiledGBRTDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestCompiledSingleTreeDifferentialFuzz covers the bare tree wrapper.
+// TestCompiledSingleTreeDifferentialFuzz covers deep single trees,
+// compiled as one-tree forests.
 func TestCompiledSingleTreeDifferentialFuzz(t *testing.T) {
 	ft := tree.NewFitter()
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -133,8 +135,8 @@ func TestCompiledSingleTreeDifferentialFuzz(t *testing.T) {
 		p := tree.Defaults()
 		p.MaxDepth = 1 + r.Intn(15)
 		tr := ft.Fit(x, y, p, nil)
-		ct := CompileTree(tr)
-		want := tr.PredictBatch(x, nil)
+		ct := compileTree(tr)
+		want := perRow(tr.Predict, x)
 		got := ct.PredictBatch(x, make([]float64, x.Rows))
 		for i := range want {
 			if got[i] != want[i] {

@@ -1,10 +1,10 @@
-// Package treec compiles pointer-based tree ensembles (tree.Tree,
-// forest.Forest, gbrt.Model) into a flattened struct-of-arrays layout and
-// provides batch-blocked traversal kernels over it. Predictions are
-// bit-identical to the pointer implementations — the compiled form reaches
-// the same leaves via the same float comparisons and accumulates in the
-// same order — which a differential fuzz suite enforces (see
-// differential_test.go).
+// Package treec compiles pointer-based tree ensembles (forest.Forest,
+// gbrt.Model) into a flattened struct-of-arrays layout and provides
+// batch-blocked traversal kernels over it; it is the layout every model
+// prediction runs on. Predictions are bit-identical to the pointer
+// implementations' per-row Predict — the compiled form reaches the same
+// leaves via the same float comparisons and accumulates in the same order
+// — which a differential fuzz suite enforces (see differential_test.go).
 //
 // Why compile: the pointer layout pays a 40-byte Node struct per hop plus
 // a data-dependent branch per split, and every tree's node slice is a
@@ -212,36 +212,6 @@ func (e *Ensemble) accumulate(x *mat.Dense, dst []float64, mul float64) {
 
 // ---- compiled model wrappers ----
 
-// Tree is a compiled single regression tree.
-type Tree struct {
-	E Ensemble
-}
-
-// CompileTree flattens a fitted tree.
-func CompileTree(t *tree.Tree) *Tree {
-	return &Tree{E: compileTrees([]*tree.Tree{t}, t.Features)}
-}
-
-// Predict returns the tree's prediction for v, bit-identical to
-// tree.Tree.Predict.
-func (t *Tree) Predict(v []float64) float64 {
-	if len(v) != t.E.Features {
-		panic(fmt.Sprintf("treec: predict with %d features, tree has %d", len(v), t.E.Features))
-	}
-	return t.E.predictRow(v, 0)
-}
-
-// PredictBatch fills dst with predictions for every row of x; a nil dst
-// is allocated. With a non-nil dst the call performs no allocations.
-func (t *Tree) PredictBatch(x *mat.Dense, dst []float64) []float64 {
-	dst = checkBatch(&t.E, x, dst, "tree")
-	for i := range dst {
-		dst[i] = 0
-	}
-	t.E.accumulate(x, dst, 1)
-	return dst
-}
-
 // Forest is a compiled random forest: the prediction is the mean of the
 // per-tree leaf values, accumulated in tree order exactly like
 // forest.Forest.
@@ -364,7 +334,7 @@ func (m *GBRT) Predict(v []float64) float64 {
 
 // PredictBatch fills dst with predictions for every row of x; a nil dst
 // is allocated. With a non-nil dst the call performs no allocations, and
-// results are bit-identical to gbrt.Model.PredictBatch.
+// results are bit-identical to gbrt.Model.Predict per row.
 func (m *GBRT) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 	dst = checkBatch(&m.E, x, dst, "gbrt")
 	for i := range dst {
@@ -375,7 +345,7 @@ func (m *GBRT) PredictBatch(x *mat.Dense, dst []float64) []float64 {
 }
 
 // checkBatch validates batch-prediction arguments and allocates dst when
-// nil, mirroring the pointer implementations' contracts.
+// nil.
 func checkBatch(e *Ensemble, x *mat.Dense, dst []float64, kind string) []float64 {
 	if x.Cols != e.Features {
 		panic(fmt.Sprintf("treec: predict with %d features, %s has %d", x.Cols, kind, e.Features))

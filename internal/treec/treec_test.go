@@ -27,6 +27,22 @@ func friedman(r *rng.Source, n int) (*mat.Dense, []float64) {
 	return x, y
 }
 
+// perRow predicts every row of x one call at a time: the pointer oracle
+// the compiled kernels must match bit for bit.
+func perRow(predict func([]float64) float64, x *mat.Dense) []float64 {
+	out := make([]float64, x.Rows)
+	for i := range out {
+		out[i] = predict(x.Row(i))
+	}
+	return out
+}
+
+// compileTree compiles a lone tree as a one-tree forest, whose mean is
+// the tree's own leaf value exactly.
+func compileTree(tr *tree.Tree) *Forest {
+	return CompileForest(&forest.Forest{Trees: []*tree.Tree{tr}, Features: tr.Features})
+}
+
 func TestCompileForestLayout(t *testing.T) {
 	r := rng.New(1)
 	x, y := friedman(r, 200)
@@ -78,7 +94,7 @@ func TestCompiledForestMatchesPointer(t *testing.T) {
 	f := forest.Fit(x, y, p, r)
 	cf := CompileForest(f)
 
-	want := f.PredictBatch(x, nil)
+	want := perRow(f.Predict, x)
 	got := cf.PredictBatch(x, make([]float64, x.Rows))
 	for i := range want {
 		if got[i] != want[i] {
@@ -102,7 +118,7 @@ func TestCompiledGBRTMatchesPointer(t *testing.T) {
 	m := gbrt.Fit(x, y, p, r)
 	cm := CompileGBRT(m)
 
-	want := m.PredictBatch(x, nil)
+	want := perRow(m.Predict, x)
 	got := cm.PredictBatch(x, make([]float64, x.Rows))
 	for i := range want {
 		if got[i] != want[i] {
@@ -121,8 +137,8 @@ func TestCompiledTreeMatchesPointer(t *testing.T) {
 	r := rng.New(4)
 	x, y := friedman(r, 200)
 	tr := tree.NewFitter().Fit(x, y, tree.Defaults(), nil)
-	ct := CompileTree(tr)
-	want := tr.PredictBatch(x, nil)
+	ct := compileTree(tr)
+	want := perRow(tr.Predict, x)
 	got := ct.PredictBatch(x, make([]float64, x.Rows))
 	for i := range want {
 		if got[i] != want[i] {
